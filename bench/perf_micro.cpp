@@ -401,8 +401,8 @@ BENCHMARK(BM_SpmvCsr)->Arg(512)->Arg(2048)->Arg(131072);
 
 // ---------------------------------------------------------------------------
 // Full §6.2 degree-MC solve at a reduced operating point: the classic
-// damped fixed point vs Anderson mixing (both with the accelerated inner
-// iteration, so the delta isolates the outer update rule).
+// damped fixed point vs Anderson mixing (both with the same direct inner
+// solve, so the delta isolates the outer update rule).
 
 analysis::DegreeMcParams micro_degree_params(
     analysis::DegreeMcAcceleration accel) {
@@ -434,8 +434,7 @@ BENCHMARK(BM_DegreeMcAnderson)->Unit(benchmark::kMillisecond);
 
 // Mean-field fast path at the same reduced point as BM_DegreeMcAnderson:
 // the ratio of the two is the single-point speedup the prediction layer
-// rides on (the committed ≥ 50x gate in BENCH_analysis.json is measured on
-// the full paper box, where the gap is wider still).
+// rides on.
 void BM_MeanFieldSolve(benchmark::State& state) {
   const auto mf = analysis::mean_field_params(
       micro_degree_params(analysis::DegreeMcAcceleration::kAnderson));
@@ -475,7 +474,7 @@ void BM_PredictionCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictionCacheHit)->Unit(benchmark::kMicrosecond);
 
-// Inner stationary solve on a fixed chain: plain power iteration vs the
+// Stationary solve on a fixed chain: plain power iteration vs the
 // Anderson-accelerated path (same stopping criterion).
 void BM_StationaryPower(benchmark::State& state) {
   const markov::SparseChain chain = random_chain(4096, kNnzPerRow);

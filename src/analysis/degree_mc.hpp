@@ -20,16 +20,18 @@
 //    distributed proportionally to pi(d) * d, and fires an action using
 //    that particular edge with probability proportional to d - 1.
 //
-// Solver architecture (performance): the transition *structure* — which
-// (state, state) pairs can ever carry mass — depends only on (s, dL, cap),
-// so it is compiled once into a CSR `markov::SparseChain`; each outer
-// iteration only rewrites the per-edge probability values. The outer loop
-// is accelerated with Anderson mixing (small least-squares over the last m
-// residuals, falling back to the classic damped step whenever the
-// extrapolation degenerates), the inner power iteration is warm-started
-// from the previous outer iterate (and itself Anderson-accelerated, see
-// markov::SparseChain::stationary), and ℓ-sweeps reuse both the structure
-// and the previous point's solution (solve_degree_mc_sweep).
+// Solver architecture: the truncated chain is an analysis::PairChain
+// (analysis/pair_chain), shared with the mean-field refinement. Each outer
+// iteration derives the population statistics from the current guess,
+// rewrites the chain's rates, and computes the chain's stationary
+// distribution directly by banded GTH elimination — one solve of
+// O(states · phases²), with no inner iteration and no subtraction, so it
+// stays exact at ℓ = 0 where the chain is nearly decomposable. The outer
+// loop is accelerated with Anderson mixing (small least-squares over the
+// last m residuals, falling back to the classic damped step whenever the
+// extrapolation degenerates or leaves a reducible chain), and ℓ-sweeps
+// reuse the state space and the previous point's solution
+// (solve_degree_mc_sweep).
 #pragma once
 
 #include <cstddef>
@@ -68,17 +70,11 @@ struct DegreeMcParams {
   // Anderson history depth m (>= 1; ignored for kDamped).
   std::size_t anderson_depth = 4;
 
-  // Inner (Anderson-accelerated) power iteration. Setting
-  // accelerated_stationary = false runs classic power iteration — the
-  // seed-faithful baseline configuration for benchmarks.
-  double stationary_tolerance = 1e-13;
-  std::size_t max_stationary_iterations = 500'000;
-  bool accelerated_stationary = true;
-
   // Optional telemetry sink (borrowed; may be null). The outer loop
   // reports per-iteration residuals as "degree_mc_outer" (with mixer
-  // events under the same name and "damped_step" fallbacks), the inner
-  // stationary solves as "degree_mc_inner". Feeds the same numbers the
+  // events under the same name and "damped_step" / "rejected_iterate"
+  // fallbacks), and each direct stationary solve as "degree_mc_inner" with
+  // its ||pi P - pi||_1. Feeds the same numbers the
   // DegreeMcResult diagnostics summarize; never influences the solve.
   obs::SolverSink* telemetry = nullptr;
 };
@@ -109,24 +105,26 @@ struct DegreeMcResult {
   // P(receiver has room), receiver sampled proportionally to indegree.
   double receiver_room_probability = 1.0;
 
-  // Convergence diagnostics: outer fixed-point iterations, the total
-  // number of inner power-iteration steps across all outer iterations
-  // (the real cost driver), and the final residuals of both loops, so
-  // benches can assert convergence instead of trusting tolerances.
+  // Convergence diagnostics: outer fixed-point iterations, the number of
+  // direct stationary solves (one per outer iteration), and the final
+  // residuals of both, so benches can assert convergence instead of
+  // trusting tolerances.
   std::size_t fixed_point_iterations = 0;
   std::size_t stationary_iterations = 0;
   double fixed_point_residual = 0.0;  // L1(pi, G(pi)) at the last iteration
-  double stationary_residual = 0.0;   // L1 step change of the final solve
+  // ||pi P - pi||_1 of the final solve on the uniformized chain
+  // (analysis::PairChain::residual).
+  double stationary_residual = 0.0;
   bool converged = false;
 };
 
 // Solves the chain. Throws std::invalid_argument on inconsistent
-// parameters; throws std::runtime_error if the state space degenerates
-// (e.g. all mass escapes).
+// parameters; throws std::runtime_error if the state space is empty or the
+// chain of a solved iterate is reducible (the message names the state).
 [[nodiscard]] DegreeMcResult solve_degree_mc(const DegreeMcParams& params);
 
 // Solves the chain for each loss value in `losses` with one solver: the
-// state space and CSR sparsity pattern are built once, and each point is
+// state space is built once, and each point is
 // warm-started from the previous point's stationary distribution and
 // population statistics. Equivalent to calling solve_degree_mc per point
 // (same fixed points, same tolerances), only faster. `params.loss` is

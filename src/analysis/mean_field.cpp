@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdint>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "analysis/pair_chain.hpp"
 #include "markov/anderson.hpp"
 
 namespace gossip::analysis {
@@ -24,86 +26,24 @@ struct ClosureStats {
   double mean_in = 0.0;
 };
 
-// Population statistics of the full pair measure — identical formulas to
-// the exact solver (the receiver-room probability is in-mass-weighted,
-// which is exactly what the product closure approximates away).
-struct PairStats {
-  double second_factorial = 0.0;
-  double edge_factor = 0.0;
-  double receiver_room = 1.0;
-  double initiator_dup = 0.0;
-};
-
-// Dense LU with partial pivoting for the per-level phase blocks (row
-// vector times matrix systems: x * A = b). Factors A^T so each solve is
-// one forward/backward substitution.
-class SmallLu {
- public:
-  // `a` is row-major m x m. Returns false when numerically singular.
-  bool factor(const std::vector<double>& a, std::size_t m) {
-    m_ = m;
-    lu_.resize(m * m);
-    piv_.resize(m);
-    // lu_ holds A^T: lu_[r * m + c] = a[c * m + r].
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t c = 0; c < m; ++c) lu_[r * m + c] = a[c * m + r];
-    }
-    for (std::size_t col = 0; col < m; ++col) {
-      std::size_t pivot = col;
-      double best = std::abs(lu_[col * m + col]);
-      for (std::size_t r = col + 1; r < m; ++r) {
-        const double v = std::abs(lu_[r * m + col]);
-        if (v > best) {
-          best = v;
-          pivot = r;
-        }
-      }
-      if (!(best > 0.0) || !std::isfinite(best)) return false;
-      piv_[col] = pivot;
-      if (pivot != col) {
-        for (std::size_t c = 0; c < m; ++c) {
-          std::swap(lu_[col * m + c], lu_[pivot * m + c]);
-        }
-      }
-      const double inv = 1.0 / lu_[col * m + col];
-      for (std::size_t r = col + 1; r < m; ++r) {
-        const double f = lu_[r * m + col] * inv;
-        lu_[r * m + col] = f;
-        if (f == 0.0) continue;
-        for (std::size_t c = col + 1; c < m; ++c) {
-          lu_[r * m + c] -= f * lu_[col * m + c];
-        }
-      }
-    }
-    return true;
+// Solves J x = b for a 3x3 row-major J by Cramer's rule. Returns false
+// when J is numerically singular.
+bool solve3(const std::array<double, 9>& j, const std::array<double, 3>& b,
+            std::array<double, 3>& x) {
+  const auto det = [](const std::array<double, 9>& m) {
+    return m[0] * (m[4] * m[8] - m[5] * m[7]) -
+           m[1] * (m[3] * m[8] - m[5] * m[6]) +
+           m[2] * (m[3] * m[7] - m[4] * m[6]);
+  };
+  const double d = det(j);
+  if (!(std::abs(d) > 0.0) || !std::isfinite(d)) return false;
+  for (std::size_t c = 0; c < 3; ++c) {
+    std::array<double, 9> m = j;
+    for (std::size_t r = 0; r < 3; ++r) m[r * 3 + c] = b[r];
+    x[c] = det(m) / d;
   }
-
-  // Solves x * A = b (i.e. A^T x^T = b^T) for one row vector.
-  void solve_left(const double* b, double* x) const {
-    const std::size_t m = m_;
-    for (std::size_t r = 0; r < m; ++r) x[r] = b[r];
-    for (std::size_t col = 0; col < m; ++col) {
-      if (piv_[col] != col) std::swap(x[col], x[piv_[col]]);
-      const double v = x[col];
-      if (v == 0.0) continue;
-      for (std::size_t r = col + 1; r < m; ++r) {
-        x[r] -= lu_[r * m + col] * v;
-      }
-    }
-    for (std::size_t col = m; col-- > 0;) {
-      double v = x[col];
-      for (std::size_t c = col + 1; c < m; ++c) {
-        v -= lu_[col * m + c] * x[c];
-      }
-      x[col] = v / lu_[col * m + col];
-    }
-  }
-
- private:
-  std::vector<double> lu_;
-  std::vector<std::size_t> piv_;
-  std::size_t m_ = 0;
-};
+  return true;
+}
 
 class MeanFieldSolver {
  public:
@@ -115,7 +55,9 @@ class MeanFieldSolver {
     }
     out_count_ = (p_.view_size - p_.min_degree) / 2 + 1;
     in_count_ = (cap_ - p_.min_degree) / 2 + 1;
-    if (p_.refinement_iterations > 0) build_levels();
+    if (p_.refinement_iterations > 0) {
+      chain_.emplace(p_.view_size, p_.min_degree, cap_);
+    }
   }
 
   MeanFieldResult solve_at(double loss) {
@@ -303,258 +245,27 @@ class MeanFieldSolver {
     result.deletion_probability = (1.0 - loss) * (1.0 - st.q_room);
   }
 
-  // --- 1/n refinement: exact pair generator, direct QBD solve -----------
-  //
-  // States are ordered level-major: level i holds the out-degree phases
-  // {o_start(i), o_start(i)+2, ..., min(s, cap-2i)}. Every §6.2 event
-  // changes i by at most one, so the pair generator is block tridiagonal
-  // and its stationary distribution follows from one backward block
-  // elimination (U_L = M_L; R_{j-1} = -A_{j-1} U_j^{-1};
-  // U_{j-1} = M_{j-1} + R_{j-1} C_j; then pi_0 U_0 = 0 and
-  // pi_{j} = pi_{j-1} R_{j-1}).
-
-  struct Level {
-    std::size_t offset = 0;   // index of the first state of the level
-    std::size_t o_start = 0;  // smallest out degree present
-    std::size_t count = 0;    // number of phases
-  };
-
-  void build_levels() {
-    const std::size_t max_in = (cap_ - p_.min_degree) / 2;
-    levels_.reserve(max_in + 1);
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i <= max_in; ++i) {
-      Level lv;
-      lv.offset = offset;
-      // The isolated state (0, 0) is unreachable (§6.2) and excluded.
-      lv.o_start = (p_.min_degree == 0 && i == 0) ? 2 : p_.min_degree;
-      const std::size_t o_max = std::min(p_.view_size, cap_ - 2 * i);
-      lv.count = (o_max - lv.o_start) / 2 + 1;
-      levels_.push_back(lv);
-      offset += lv.count;
-    }
-    pair_count_ = offset;
-
-    // The block shapes never change: allocate once, zero-fill per rebuild.
-    const std::size_t L = levels_.size();
-    blocks_m_.resize(L);
-    blocks_a_.resize(L);
-    blocks_c_.resize(L);
-    r_.resize(L);
-    for (std::size_t i = 0; i < L; ++i) {
-      const std::size_t m = levels_[i].count;
-      blocks_m_[i].resize(m * m);
-      if (i + 1 < L) {
-        blocks_a_[i].resize(m * levels_[i + 1].count);
-        r_[i].resize(m * levels_[i + 1].count);
-      }
-      if (i > 0) blocks_c_[i].resize(m * levels_[i - 1].count);
-    }
-  }
-
-  [[nodiscard]] PairStats pair_stats(const std::vector<double>& pi) const {
-    PairStats st;
-    double mean_out = 0.0;
-    double in_mass = 0.0;
-    double in_room_mass = 0.0;
-    double dup_mass = 0.0;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      const Level& lv = levels_[i];
-      for (std::size_t k = 0; k < lv.count; ++k) {
-        const double w = pi[lv.offset + k];
-        const std::size_t ou = lv.o_start + 2 * k;
-        const double o = static_cast<double>(ou);
-        mean_out += w * o;
-        st.second_factorial += w * o * (o - 1.0);
-        in_mass += w * static_cast<double>(i);
-        if (ou + 2 <= p_.view_size) in_room_mass += w * static_cast<double>(i);
-        if (ou == p_.min_degree) dup_mass += w * o * (o - 1.0);
-      }
-    }
-    st.edge_factor = mean_out > 0.0 ? st.second_factorial / mean_out : 0.0;
-    st.receiver_room = in_mass > 0.0 ? in_room_mass / in_mass : 1.0;
-    st.initiator_dup = st.second_factorial > 0.0
-                           ? dup_mass / st.second_factorial
-                           : 0.0;
-    return st;
-  }
-
-  // Assembles the three block diagonals of the generator for the current
-  // population statistics. Rates are the exact solver's, with the common
-  // 1/(s(s-1)) factor dropped (a uniform rate scale leaves the stationary
-  // distribution unchanged). Transitions leaving the truncated space are
-  // self-loops and contribute nothing to the generator.
-  void build_blocks(double c2, double q_room, double pz, double loss) {
-    const std::size_t L = levels_.size();
-    for (std::size_t i = 0; i < L; ++i) {
-      std::fill(blocks_m_[i].begin(), blocks_m_[i].end(), 0.0);
-      std::fill(blocks_a_[i].begin(), blocks_a_[i].end(), 0.0);
-      std::fill(blocks_c_[i].begin(), blocks_c_[i].end(), 0.0);
-    }
-    const double p_in_gain = (1.0 - loss) * q_room;
-    const double p_arrive = (1.0 - loss) * q_room;
-
-    for (std::size_t i = 0; i < L; ++i) {
-      const Level& lv = levels_[i];
-      const std::size_t m = lv.count;
-      const std::size_t m_up = i + 1 < L ? levels_[i + 1].count : 0;
-      const std::size_t m_down = i > 0 ? levels_[i - 1].count : 0;
-
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t o = lv.o_start + 2 * k;
-        const double od = static_cast<double>(o);
-        const bool room = o + 2 <= p_.view_size;
-        const bool duplicate = o <= p_.min_degree;
-        double out_rate = 0.0;
-
-        // Destinations outside the truncated space — or landing on the
-        // excluded isolated state (0, 0) — are self-loops in the exact
-        // chain: they are skipped and contribute nothing to the generator.
-        auto same = [&](std::size_t to_o, double rate) {
-          const std::size_t o_max = lv.o_start + 2 * (lv.count - 1);
-          if (to_o < lv.o_start || to_o > o_max) return;
-          blocks_m_[i][k * m + (to_o - lv.o_start) / 2] += rate;
-          out_rate += rate;
-        };
-        auto up = [&](std::size_t to_o, double rate) {
-          const Level& up_lv = levels_[i + 1];
-          const std::size_t o_max = up_lv.o_start + 2 * (up_lv.count - 1);
-          if (to_o < up_lv.o_start || to_o > o_max) return;
-          blocks_a_[i][k * m_up + (to_o - up_lv.o_start) / 2] += rate;
-          out_rate += rate;
-        };
-        auto down = [&](std::size_t to_o, double rate) {
-          const Level& dn_lv = levels_[i - 1];
-          const std::size_t o_max = dn_lv.o_start + 2 * (dn_lv.count - 1);
-          if (to_o < dn_lv.o_start || to_o > o_max) return;
-          blocks_c_[i][k * m_down + (to_o - dn_lv.o_start) / 2] += rate;
-          out_rate += rate;
-        };
-
-        // Event A: the node initiates a non-self-loop action. With
-        // duplication (o <= dL) the a_keep outcome is a true self-loop.
-        if (o >= 2) {
-          const double rate_a = od * (od - 1.0);
-          const std::size_t o_after = duplicate ? o : o - 2;
-          if (i + 1 < L) up(o_after, rate_a * p_in_gain);
-          if (o_after != o) same(o_after, rate_a * (1.0 - p_in_gain));
-        }
-
-        // Events B and C require the node to be referenced (i > 0).
-        if (i > 0) {
-          const double rate_edge = static_cast<double>(i) * c2;
-          const double p_out_gain = room ? (1.0 - loss) : 0.0;
-          if (room) {
-            down(o + 2, rate_edge * (1.0 - pz) * p_out_gain);
-            same(o + 2, rate_edge * pz * p_out_gain);
-          }
-          down(o, rate_edge * (1.0 - pz) * (1.0 - p_out_gain));
-          if (i + 1 < L) up(o, rate_edge * pz * p_arrive);
-          down(o, rate_edge * (1.0 - pz) * (1.0 - p_arrive));
-        }
-
-        blocks_m_[i][k * m + k] -= out_rate;
-      }
-    }
-  }
-
-  // Stationary distribution of the assembled block-tridiagonal generator.
-  // Throws std::runtime_error when a reduced block is singular (cannot
-  // happen for an irreducible truncated chain).
-  void qbd_stationary(std::vector<double>& pi) {
-    const std::size_t L = levels_.size();
-    // Backward elimination: U_L = M_L, then fold each level into the one
-    // below. r_[j] holds R_j (levels_[j].count x levels_[j+1].count).
-    u_ = blocks_m_[L - 1];
-    for (std::size_t j = L - 1; j > 0; --j) {
-      const std::size_t m = levels_[j].count;
-      const std::size_t m_prev = levels_[j - 1].count;
-      if (!lu_.factor(u_, m)) {
-        throw std::runtime_error("mean-field QBD block singular");
-      }
-      std::vector<double>& r = r_[j - 1];
-      rhs_.resize(m);
-      for (std::size_t row = 0; row < m_prev; ++row) {
-        for (std::size_t c = 0; c < m; ++c) {
-          rhs_[c] = -blocks_a_[j - 1][row * m + c];
-        }
-        lu_.solve_left(rhs_.data(), r.data() + row * m);
-      }
-      // U_{j-1} = M_{j-1} + R_{j-1} C_j.
-      u_next_ = blocks_m_[j - 1];
-      const std::vector<double>& c = blocks_c_[j];
-      for (std::size_t row = 0; row < m_prev; ++row) {
-        for (std::size_t mid = 0; mid < m; ++mid) {
-          const double rv = r[row * m + mid];
-          if (rv == 0.0) continue;
-          for (std::size_t col = 0; col < m_prev; ++col) {
-            u_next_[row * m_prev + col] += rv * c[mid * m_prev + col];
-          }
-        }
-      }
-      std::swap(u_, u_next_);
-    }
-
-    // pi_0 spans the left null space of U_0: replace the first column by
-    // ones (a temporary normalization) and solve pi_0 * U~ = e_0.
-    const std::size_t m0 = levels_[0].count;
-    for (std::size_t row = 0; row < m0; ++row) u_[row * m0] = 1.0;
-    if (!lu_.factor(u_, m0)) {
-      throw std::runtime_error("mean-field QBD root block singular");
-    }
-    rhs_.assign(m0, 0.0);
-    rhs_[0] = 1.0;
-    pi.assign(pair_count_, 0.0);
-    lu_.solve_left(rhs_.data(), pi.data());
-
-    // Forward propagation and global normalization.
-    for (std::size_t j = 1; j < levels_.size(); ++j) {
-      const std::size_t m_prev = levels_[j - 1].count;
-      const std::size_t m = levels_[j].count;
-      const double* prev = pi.data() + levels_[j - 1].offset;
-      double* cur = pi.data() + levels_[j].offset;
-      const std::vector<double>& r = r_[j - 1];
-      for (std::size_t row = 0; row < m_prev; ++row) {
-        const double pv = prev[row];
-        if (pv == 0.0) continue;
-        for (std::size_t col = 0; col < m; ++col) {
-          cur[col] += pv * r[row * m + col];
-        }
-      }
-    }
-    double total = 0.0;
-    for (double& v : pi) {
-      if (v < 0.0) v = 0.0;  // round-off in the deep tail
-      total += v;
-    }
-    if (!(total > 0.0) || !std::isfinite(total)) {
-      throw std::runtime_error("mean-field QBD solve degenerated");
-    }
-    for (double& v : pi) v /= total;
-  }
+  // --- 1/n refinement: exact pair generator, direct GTH solve ----------
 
   // Consistency loop of the refinement, iterated in the three-dimensional
   // statistics space (c2/s, q_room, pz) rather than over the occupancy
   // measure: with an exact inner solve the full-measure Picard map is
   // unstable at small ℓ (the pz -> P(dL) feedback is strongly negative),
-  // while in statistics space the Anderson mixer acts as a quasi-Newton
-  // method and converges in a handful of QBD solves. Warm started from the
-  // converged closure's product measure; per-point deterministic (sweeps
-  // match per-point calls). Returns convergence.
+  // while in statistics space a damped Newton step converges in a handful
+  // of direct solves. Warm started from the converged closure's product
+  // measure; per-point deterministic (sweeps match per-point calls).
+  // Returns convergence.
   bool refine(const std::vector<double>& x, double loss,
               MeanFieldResult& result) {
+    PairChain& chain = *chain_;
     // Product initial measure over the truncated pair space, used only to
     // seed the statistics.
-    std::vector<double> pi(pair_count_, 0.0);
+    std::vector<double> pi(chain.size(), 0.0);
     double total = 0.0;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      const Level& lv = levels_[i];
-      for (std::size_t k = 0; k < lv.count; ++k) {
-        const std::size_t oi = (lv.o_start + 2 * k - p_.min_degree) / 2;
-        const double v = x[oi] * x[out_count_ + i];
-        pi[lv.offset + k] = v;
-        total += v;
-      }
+    for (std::size_t k = 0; k < chain.size(); ++k) {
+      const DegreeState& st = chain.states()[k];
+      pi[k] = x[(st.out - p_.min_degree) / 2] * x[out_count_ + st.in];
+      total += pi[k];
     }
     if (!(total > 0.0)) {
       throw std::runtime_error("mean-field closure degenerated");
@@ -562,54 +273,56 @@ class MeanFieldSolver {
     for (double& v : pi) v /= total;
 
     const double s = static_cast<double>(p_.view_size);
-    PairStats seed = pair_stats(pi);
+    const PairStats seed = chain.stats(pi);
     std::array<double, 3> theta = {seed.edge_factor / s, seed.receiver_room,
                                    seed.initiator_dup};
     auto clamp = [](std::array<double, 3>& v) {
       for (double& t : v) t = std::clamp(t, 0.0, 1.0);
     };
-    // F(theta) = stats(QBD stationary at theta) - theta; fills `pi` as a
-    // side effect and returns the L1 residual.
+    // F(theta) = stats(stationary at theta) - theta; fills `dist` as a side
+    // effect and returns the L1 residual, or +inf when theta makes the
+    // chain reducible (e.g. pz clamped to 1).
     auto eval = [&](const std::array<double, 3>& th, std::array<double, 3>& f,
                     std::vector<double>& dist) {
-      build_blocks(th[0] * s, th[1], th[2], loss);
-      qbd_stationary(dist);
-      const PairStats ns = pair_stats(dist);
+      chain.set_rates(th[0] * s, th[1], th[2], loss);
+      if (!chain.try_stationary(dist)) {
+        return std::numeric_limits<double>::infinity();
+      }
+      const PairStats ns = chain.stats(dist);
       f[0] = ns.edge_factor / s - th[0];
       f[1] = ns.receiver_room - th[1];
       f[2] = ns.initiator_dup - th[2];
       return std::abs(f[0]) + std::abs(f[1]) + std::abs(f[2]);
     };
 
-    std::array<double, 3> f;
+    std::array<double, 3> f{};
     double fn = eval(theta, f, pi);
-    std::array<double, 3> f_probe;
-    std::array<double, 3> f_trial;
+    if (!std::isfinite(fn)) chain.stationary(pi);  // throws, naming the state
+    std::array<double, 3> f_probe{};
+    std::array<double, 3> f_trial{};
     std::vector<double> pi_scratch;
-    std::vector<double> jt(9);  // J^T, row-major 3x3
+    std::array<double, 9> jac;  // row-major dF_r / dtheta_k
     bool converged = fn < p_.refinement_tolerance;
 
     for (std::size_t iter = 0; !converged && iter < p_.refinement_iterations;
          ++iter) {
-      // Central-difference Jacobian of F, two QBD solves per column (the
-      // map is stiff near small ℓ; forward differences stall the search).
+      // Central-difference Jacobian of F, two solves per column (the map
+      // is stiff near small ℓ; forward differences stall the search).
+      bool jac_ok = true;
       for (std::size_t k = 0; k < 3; ++k) {
         const double h = std::max(1e-7, 1e-4 * std::abs(theta[k]));
         std::array<double, 3> th = theta;
         th[k] += h;
-        eval(th, f_probe, pi_scratch);
+        const double up = eval(th, f_probe, pi_scratch);
         th[k] = theta[k] - h;
-        eval(th, f_trial, pi_scratch);
+        const double down = eval(th, f_trial, pi_scratch);
+        jac_ok = jac_ok && std::isfinite(up) && std::isfinite(down);
         for (std::size_t r = 0; r < 3; ++r) {
-          // J^T[k][r] = dF_r / dtheta_k.
-          jt[k * 3 + r] = (f_probe[r] - f_trial[r]) / (2.0 * h);
+          jac[r * 3 + k] = (f_probe[r] - f_trial[r]) / (2.0 * h);
         }
       }
       std::array<double, 3> step;
-      std::array<double, 3> rhs = {-f[0], -f[1], -f[2]};
-      if (lu3_.factor(jt, 3)) {
-        lu3_.solve_left(rhs.data(), step.data());
-      } else {
+      if (!jac_ok || !solve3(jac, {-f[0], -f[1], -f[2]}, step)) {
         // Singular Jacobian: fall back to a cautious relaxation step.
         for (std::size_t k = 0; k < 3; ++k) step[k] = 0.05 * f[k];
       }
@@ -643,21 +356,12 @@ class MeanFieldSolver {
       }
     }
 
-    const PairStats stats = pair_stats(pi);
-    result.out_pmf.assign(p_.view_size + 1, 0.0);
-    result.in_pmf.assign(in_count_, 0.0);
-    result.expected_out = 0.0;
-    result.expected_in = 0.0;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      const Level& lv = levels_[i];
-      for (std::size_t k = 0; k < lv.count; ++k) {
-        const double w = pi[lv.offset + k];
-        result.out_pmf[lv.o_start + 2 * k] += w;
-        result.in_pmf[i] += w;
-        result.expected_out += w * static_cast<double>(lv.o_start + 2 * k);
-        result.expected_in += w * static_cast<double>(i);
-      }
-    }
+    const PairStats stats = chain.stats(pi);
+    PairMarginals m = chain.marginals(pi);
+    result.out_pmf = std::move(m.out_pmf);
+    result.in_pmf = std::move(m.in_pmf);
+    result.expected_out = m.expected_out;
+    result.expected_in = m.expected_in;
     result.receiver_room_probability = stats.receiver_room;
     result.duplication_probability = stats.initiator_dup;
     result.deletion_probability = (1.0 - loss) * (1.0 - stats.receiver_room);
@@ -669,18 +373,7 @@ class MeanFieldSolver {
   std::size_t out_count_ = 0;
   std::size_t in_count_ = 0;
   std::vector<double> warm_x_;
-
-  std::vector<Level> levels_;
-  std::size_t pair_count_ = 0;
-  std::vector<std::vector<double>> blocks_m_;
-  std::vector<std::vector<double>> blocks_a_;
-  std::vector<std::vector<double>> blocks_c_;
-  std::vector<std::vector<double>> r_;
-  std::vector<double> u_;
-  std::vector<double> u_next_;
-  std::vector<double> rhs_;
-  SmallLu lu_;
-  SmallLu lu3_;
+  std::optional<PairChain> chain_;  // the refinement's exact pair chain
 };
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Mean-field fast path for the §6.2 degree analysis.
 //
 // The exact solver (analysis/degree_mc) iterates a fixed point whose inner
-// step is a full stationary solve of the truncated (out, in) pair chain —
-// hundreds of milliseconds per ℓ point at the paper box (s = 40, dL = 18).
+// step is a direct stationary solve of the truncated (out, in) pair chain.
 // Under the product-form closure
 //
 //     P(out = o, in = i)  ≈  P_out(o) · P_in(i)
@@ -22,24 +21,21 @@
 // The population statistics (c2 = E[o(o−1)]/E[o], the duplication fraction
 // pz, the receiver-room probability q_room, E[in]) are functionals of the
 // marginals, so the closure is itself a fixed point — but each iteration
-// costs O(s) instead of a spectral solve, and the whole loop converges in
-// microseconds. Anderson mixing (markov::AndersonMixer) accelerates it
-// exactly as in the exact solver.
+// costs O(s) instead of a pair-chain solve. Anderson mixing
+// (markov::AndersonMixer) accelerates it exactly as in the exact solver.
 //
 // The closure drops the out/in correlation of the pair chain (conditioning
 // E[in | out] by its mean). The optional 1/n-style refinement restores it:
-// starting from the converged product measure, the refinement re-solves the
-// pair occupancy measure under the exact §6.2 generator inside a second
-// Anderson-mixed consistency loop. Its inner step exploits structure the
-// exact solver's power iteration ignores: every event changes the
-// in-degree by at most one, so the pair generator is block tridiagonal in
-// the in-degree level with one small out-degree phase block per level — a
-// level-dependent QBD chain whose stationary distribution is computed
-// *directly* by backward block elimination (O(levels · phases^3), ~1e5
-// flops at the paper box) instead of tens of thousands of power sweeps.
-// The refined fixed point therefore agrees with the exact solver to solver
-// tolerance (degree-marginal TVD and dup/del rates pinned in tests far
-// below the 5e-3 / 2% contract) at three orders of magnitude less work.
+// starting from the converged product measure, it re-solves the pair
+// occupancy measure under the exact §6.2 generator — the same
+// analysis::PairChain and banded GTH solve the exact solver uses — inside
+// a damped-Newton consistency loop over the three population statistics.
+// Where it converges, the refined fixed point is the exact solver's to the
+// refinement tolerance (degree-marginal TVD and dup/del rates pinned in
+// tests far below the 5e-3 / 2% contract). Where it does not — at very
+// high loss the closure or the Newton search can stall — `converged` is
+// false and the marginals must not be trusted; analysis/prediction then
+// serves the exact solve instead.
 #pragma once
 
 #include <cstddef>
@@ -66,14 +62,14 @@ struct MeanFieldParams {
   std::size_t anderson_depth = 4;
 
   // 1/n refinement term: damped-Newton consistency iterations over the
-  // population statistics (c2/s, q_room, pz), each residual evaluation an
-  // exact block-tridiagonal (QBD) stationary solve of the pair generator.
+  // population statistics (c2/s, q_room, pz), each residual evaluation a
+  // direct GTH stationary solve of the pair chain (analysis/pair_chain).
   // refinement_iterations = 0 returns the raw product closure. The
   // tolerance is the L1 self-consistency of the statistics vector (an
   // observed factor ~3 above the resulting degree-marginal TVD vs the
-  // exact solver). Tighter values down to ~1e-11 are reachable for
-  // ℓ >~ 0.01; at ℓ = 0 the generator is nearly singular along the
-  // sum-degree direction and the search bottoms out near 1e-5.
+  // exact solver); the subtraction-free solve keeps the residual exact to
+  // round-off, so tighter values are reachable at every ℓ, ℓ = 0
+  // included, at the cost of more Newton steps.
   std::size_t refinement_iterations = 60;
   double refinement_tolerance = 1e-4;
 
@@ -118,8 +114,8 @@ struct MeanFieldResult {
 [[nodiscard]] MeanFieldResult solve_mean_field(const MeanFieldParams& params);
 
 // Solves one point per loss value with a shared solver: the closure warm-
-// starts from the previous point and the refinement's level structure and
-// scratch are built once. Same fixed points as per-point calls.
+// starts from the previous point and the refinement's pair chain is built
+// once. Same fixed points as per-point calls.
 // `params.loss` is ignored.
 [[nodiscard]] std::vector<MeanFieldResult> solve_mean_field_sweep(
     const MeanFieldParams& params, std::span<const double> losses);

@@ -29,6 +29,7 @@ struct PredictionCache {
   std::map<CacheKey, obs::TheoryPrediction> entries;
   std::size_t hits = 0;
   std::size_t misses = 0;
+  std::size_t exact_fallbacks = 0;
 };
 
 PredictionCache& cache() {
@@ -51,30 +52,36 @@ CacheKey make_key(const DegreeMcParams& params, double delta,
           static_cast<int>(source)};
 }
 
+// Copies the solved marginals and action-outcome probabilities (both
+// solvers' results share these field names).
+template <typename Result>
+void copy_solution(Result&& r, obs::TheoryPrediction& pred) {
+  pred.out_pmf = std::move(r.out_pmf);
+  pred.in_pmf = std::move(r.in_pmf);
+  pred.expected_out = r.expected_out;
+  pred.expected_in = r.expected_in;
+  pred.duplication_probability = r.duplication_probability;
+  pred.deletion_probability = r.deletion_probability;
+}
+
+// Sets `exact_fallback` when a kMeanField request is answered exactly.
 obs::TheoryPrediction solve_prediction(const DegreeMcParams& params,
-                                       double delta,
-                                       PredictionSource source) {
+                                       double delta, PredictionSource source,
+                                       bool& exact_fallback) {
   obs::TheoryPrediction pred;
   pred.loss = params.loss;
   pred.delta = delta;
   pred.view_size = params.view_size;
   pred.min_degree = params.min_degree;
+  bool solved = false;
   if (source == PredictionSource::kMeanField) {
     MeanFieldResult mf = solve_mean_field(mean_field_params(params));
-    pred.out_pmf = std::move(mf.out_pmf);
-    pred.in_pmf = std::move(mf.in_pmf);
-    pred.expected_out = mf.expected_out;
-    pred.expected_in = mf.expected_in;
-    pred.duplication_probability = mf.duplication_probability;
-    pred.deletion_probability = mf.deletion_probability;
-  } else {
-    DegreeMcResult mc = solve_degree_mc(params);
-    pred.out_pmf = std::move(mc.out_pmf);
-    pred.in_pmf = std::move(mc.in_pmf);
-    pred.expected_out = mc.expected_out;
-    pred.expected_in = mc.expected_in;
-    pred.duplication_probability = mc.duplication_probability;
-    pred.deletion_probability = mc.deletion_probability;
+    solved = mf.converged;
+    if (solved) copy_solution(std::move(mf), pred);
+  }
+  if (!solved) {
+    exact_fallback = source == PredictionSource::kMeanField;
+    copy_solution(solve_degree_mc(params), pred);
   }
   pred.alpha_lower_bound = independence_lower_bound_simple(params.loss, delta);
   return pred;
@@ -97,17 +104,20 @@ obs::TheoryPrediction make_theory_prediction(const DegreeMcParams& params,
   // Solve outside the lock: concurrent misses on the same key race to
   // insert the identical (deterministic) answer, which is harmless and
   // keeps slow exact solves from serializing unrelated lookups.
-  obs::TheoryPrediction pred = solve_prediction(params, delta, source);
+  bool exact_fallback = false;
+  obs::TheoryPrediction pred =
+      solve_prediction(params, delta, source, exact_fallback);
   std::lock_guard<std::mutex> lock(c.mutex);
   const auto [it, inserted] = c.entries.emplace(key, std::move(pred));
   ++c.misses;
+  if (exact_fallback) ++c.exact_fallbacks;
   return it->second;
 }
 
 PredictionCacheStats prediction_cache_stats() {
   auto& c = cache();
   std::lock_guard<std::mutex> lock(c.mutex);
-  return {c.hits, c.misses, c.entries.size()};
+  return {c.hits, c.misses, c.entries.size(), c.exact_fallbacks};
 }
 
 void clear_prediction_cache() {
@@ -116,6 +126,7 @@ void clear_prediction_cache() {
   c.entries.clear();
   c.hits = 0;
   c.misses = 0;
+  c.exact_fallbacks = 0;
 }
 
 }  // namespace gossip::analysis

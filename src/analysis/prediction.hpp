@@ -7,7 +7,9 @@
 //  * kExactMc — the full degree-MC fixed point (analysis/degree_mc);
 //  * kMeanField — the mean-field fast path (analysis/mean_field), within
 //    the contract tolerances (degree TVD <= 5e-3, dup/del rates <= 2%)
-//    at two orders of magnitude less wall-clock.
+//    wherever it converges. Where it reports non-convergence its pmf can
+//    be arbitrarily wrong, so the exact solve is served instead (and
+//    counted in PredictionCacheStats::exact_fallbacks).
 //
 // Solved predictions are memoized in a process-wide cache keyed on the
 // model-defining parameters (box, loss, truncation, fixed-sum line, delta,
@@ -24,8 +26,8 @@
 namespace gossip::analysis {
 
 enum class PredictionSource {
-  kExactMc,    // solve_degree_mc: reference answer, hundreds of ms
-  kMeanField,  // solve_mean_field: contract-accurate, ~ms
+  kExactMc,    // solve_degree_mc: reference answer, a few ms
+  kMeanField,  // solve_mean_field: contract-accurate, ~1 ms
 };
 
 // Solves the stationary degree model at `params` with the chosen backend
@@ -42,14 +44,17 @@ enum class PredictionSource {
 
 // Cache introspection for benchmarks and tests. Counters are cumulative
 // for the process; `size` is the current number of cached predictions.
+// `exact_fallbacks` counts kMeanField misses answered by the exact solver
+// because the mean-field solve did not converge.
 struct PredictionCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t size = 0;
+  std::size_t exact_fallbacks = 0;
 };
 [[nodiscard]] PredictionCacheStats prediction_cache_stats();
 
-// Drops all cached predictions and resets the hit/miss counters.
+// Drops all cached predictions and resets the counters.
 void clear_prediction_cache();
 
 }  // namespace gossip::analysis

@@ -36,16 +36,6 @@ void SparseChain::add(std::size_t from, std::size_t to, double prob) {
   row_sum_[from] += prob;
 }
 
-std::size_t SparseChain::add_edge(std::size_t from, std::size_t to) {
-  assert(!finalized_);
-  resize(std::max(from, to) + 1);
-  if (from == to) return kNoSlot;
-  from_.push_back(static_cast<std::uint32_t>(from));
-  to_.push_back(static_cast<std::uint32_t>(to));
-  prob_.push_back(0.0);
-  return prob_.size() - 1;
-}
-
 void SparseChain::build_csr() {
   const std::size_t n = state_count();
   const std::size_t nnz = prob_.size();
@@ -54,7 +44,6 @@ void SparseChain::build_csr() {
   for (std::size_t j = 0; j < n; ++j) in_row_ptr_[j + 1] += in_row_ptr_[j];
   in_src_.resize(nnz);
   in_prob_.resize(nnz);
-  slot_to_pos_.resize(nnz);
   // Counting sort by destination; slots of a destination keep insertion
   // order, so every gather below is a fixed-order sum.
   std::vector<std::size_t> cursor(in_row_ptr_.begin(), in_row_ptr_.end() - 1);
@@ -62,7 +51,6 @@ void SparseChain::build_csr() {
     const std::size_t pos = cursor[to_[e]]++;
     in_src_[pos] = from_[e];
     in_prob_[pos] = prob_[e];
-    slot_to_pos_[e] = pos;
   }
   finalized_ = true;
 }
@@ -75,30 +63,6 @@ void SparseChain::finalize(double tolerance) {
     row_sum_[s] = std::min(row_sum_[s], 1.0);
   }
   build_csr();
-}
-
-void SparseChain::finalize_structure() { build_csr(); }
-
-void SparseChain::set_prob(std::size_t slot, double prob) {
-  assert(finalized_);
-  if (slot == kNoSlot) return;
-  assert(slot < prob_.size());
-  prob_[slot] = prob;
-  in_prob_[slot_to_pos_[slot]] = prob;
-}
-
-void SparseChain::commit_values(double tolerance) {
-  assert(finalized_);
-  std::fill(row_sum_.begin(), row_sum_.end(), 0.0);
-  for (std::size_t e = 0; e < prob_.size(); ++e) {
-    row_sum_[from_[e]] += prob_[e];
-  }
-  for (double& row : row_sum_) {
-    if (row > 1.0 + tolerance) {
-      throw std::runtime_error("sparse chain row exceeds probability 1");
-    }
-    row = std::min(row, 1.0);
-  }
 }
 
 void SparseChain::step_into(const std::vector<double>& pi,

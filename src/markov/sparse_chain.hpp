@@ -6,15 +6,10 @@
 // by the row remainder) and provides stationary-distribution and
 // structure queries.
 //
-// Storage is a structure/value split: transitions are accumulated as
-// triplets (each add returns a stable *slot*), and finalize_structure()
-// compiles them into CSR indexed by *destination* state, so one step of
-// pi' = pi P is an independent fixed-order gather per output entry —
-// embarrassingly parallel (see step_into) and bit-reproducible for any
-// thread count. After the structure is frozen, set_prob() rewrites values
-// in place without touching the pattern; the §6.2 degree-MC outer loop
-// builds the sparsity pattern once and only refreshes values per fixed-
-// point iteration.
+// Transitions are accumulated as triplets, and finalize() compiles them
+// into CSR indexed by *destination* state, so one step of pi' = pi P is an
+// independent fixed-order gather per output entry — embarrassingly
+// parallel (see step_into) and bit-reproducible for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +23,6 @@ namespace gossip::markov {
 
 class SparseChain {
  public:
-  // Slot sentinel returned by add_edge for ignored (self-loop) edges.
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
   explicit SparseChain(std::size_t state_count = 0);
 
   [[nodiscard]] std::size_t state_count() const { return row_sum_.size(); }
@@ -43,11 +35,6 @@ class SparseChain {
   // of a row must stay <= 1 (checked in finalize()).
   void add(std::size_t from, std::size_t to, double prob);
 
-  // Structure/value split: records the transition from -> to with value 0
-  // and returns a stable slot usable with set_prob() after the structure
-  // is frozen. Self-loops are ignored (returns kNoSlot).
-  std::size_t add_edge(std::size_t from, std::size_t to);
-
   // Outgoing (non-self) probability mass of a row.
   [[nodiscard]] double row_sum(std::size_t state) const {
     return row_sum_[state];
@@ -57,18 +44,6 @@ class SparseChain {
   // tolerance) and compiles the CSR index. Must be called before the
   // queries below.
   void finalize(double tolerance = 1e-9);
-
-  // Freezes the sparsity pattern only; values may then be rewritten with
-  // set_prob() + commit_values() any number of times.
-  void finalize_structure();
-
-  // Rewrites the value of a previously added transition. Requires
-  // finalize_structure() (or finalize()). kNoSlot is ignored.
-  void set_prob(std::size_t slot, double prob);
-
-  // Recomputes row sums after a batch of set_prob calls and re-validates
-  // (throws std::runtime_error on row overflow beyond tolerance).
-  void commit_values(double tolerance = 1e-9);
 
   // pi' = pi P, exploiting sparsity. Requires finalize(). Each output
   // entry is an independent fixed-order sum over its incoming transitions,
@@ -116,21 +91,19 @@ class SparseChain {
  private:
   void build_csr();
 
-  // Triplet (slot-indexed) storage; the build-time representation and the
-  // owner of the values.
+  // Triplet storage; the build-time representation and the owner of the
+  // values.
   std::vector<std::uint32_t> from_;
   std::vector<std::uint32_t> to_;
   std::vector<double> prob_;
   std::vector<double> row_sum_;
 
-  // CSR by destination, compiled by finalize()/finalize_structure():
-  // incoming transitions of state j live at [in_row_ptr_[j],
-  // in_row_ptr_[j+1]) in in_src_ / in_prob_. slot_to_pos_ maps a triplet
-  // slot to its CSR position so set_prob stays O(1).
+  // CSR by destination, compiled by finalize(): incoming transitions of
+  // state j live at [in_row_ptr_[j], in_row_ptr_[j+1]) in in_src_ /
+  // in_prob_.
   std::vector<std::size_t> in_row_ptr_;
   std::vector<std::uint32_t> in_src_;
   std::vector<double> in_prob_;
-  std::vector<std::size_t> slot_to_pos_;
 
   bool finalized_ = false;
 };

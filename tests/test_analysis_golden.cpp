@@ -1,7 +1,7 @@
 // Golden-value regression tests for the analysis pipeline.
 //
-// The solver stack (CSR structure/value split, Anderson-accelerated inner
-// and outer loops, warm-started sweeps, parallel SpMV) is free to change
+// The solver stack (direct pair-chain solve, Anderson-accelerated outer
+// loop, warm-started sweeps, parallel SpMV) is free to change
 // *how* it computes, but not *what*: these tests pin the §6.4 / Fig 6.3
 // indegree statistics and the Lemma 7.5 exhaustive-chain facts to values
 // captured from the original dense damped solver, at tolerances far below
@@ -69,12 +69,10 @@ TEST(AnalysisGolden, Fig63IndegreeMomentsWarmSweep) {
 }
 
 TEST(AnalysisGolden, Fig63DampedBaselineAgrees) {
-  // The seed-faithful configuration (damped outer, plain inner power
-  // iteration) must still reproduce the same goldens: the acceleration is
-  // an optimization, not a different model.
+  // The paper-faithful damped outer loop must still reproduce the same
+  // goldens: the acceleration is an optimization, not a different model.
   DegreeMcParams p;
   p.acceleration = DegreeMcAcceleration::kDamped;
-  p.accelerated_stationary = false;
   p.loss = 0.01;
   const auto r = solve_degree_mc(p);
   ASSERT_TRUE(r.converged);

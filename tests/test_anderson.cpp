@@ -32,13 +32,6 @@ struct LinearMap {
   }
 };
 
-double residual_l1(const std::vector<double>& x, const LinearMap& map) {
-  const auto g = map.apply(x);
-  double r = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) r += std::abs(g[i] - x[i]);
-  return r;
-}
-
 TEST(AndersonMixer, AcceleratesLinearContraction) {
   const LinearMap map{{0.99, 0.9, 0.5, 0.1}, {0.01, 0.2, 1.0, 0.9}};
   std::vector<double> x(4, 0.0);

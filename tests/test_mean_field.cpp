@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/degree_mc.hpp"
+#include "analysis/prediction.hpp"
 
 namespace gossip::analysis {
 namespace {
@@ -86,6 +87,56 @@ TEST(MeanField, MatchesExactOnQuickBox) {
                       exact[p].deletion_probability),
               kRateContract);
   }
+}
+
+TEST(MeanField, ConvergesAtTheNearlyDecomposablePoint) {
+  // s = 42, dL = 18, ℓ = 0: the chain mixes along the sum degree only
+  // slowly. A subtracting block elimination left the refinement
+  // unconverged here, 0.998 TVD from exact; the direct GTH solve must
+  // converge inside the contract.
+  DegreeMcParams exact_params;
+  exact_params.view_size = 42;
+  exact_params.loss = 0.0;
+  const auto exact = solve_degree_mc(exact_params);
+  const auto mf = solve_mean_field(mean_field_params(exact_params));
+  ASSERT_TRUE(exact.converged);
+  EXPECT_TRUE(mf.converged);
+  EXPECT_LE(tvd(mf.out_pmf, exact.out_pmf), kTvdContract);
+  EXPECT_LE(tvd(mf.in_pmf, exact.in_pmf), kTvdContract);
+}
+
+TEST(MeanFieldPrediction, EveryPointMeetsTheContract) {
+  // Property: a kMeanField prediction is never further than the contract
+  // from the exact one, whether the fast path converged or was replaced
+  // by the exact solve. ℓ = 0.95 is past where the fast path converges,
+  // so the grid reaches the fallback.
+  struct Box {
+    std::size_t s;
+    std::size_t dl;
+  };
+  clear_prediction_cache();
+  std::size_t unconverged = 0;
+  for (const Box box : {Box{12, 4}, Box{20, 8}, Box{40, 18}, Box{42, 18}}) {
+    for (const double loss : {0.0, 0.01, 0.05, 0.5, 0.95}) {
+      SCOPED_TRACE("s=" + std::to_string(box.s) + " dL=" +
+                   std::to_string(box.dl) + " loss=" + std::to_string(loss));
+      DegreeMcParams p;
+      p.view_size = box.s;
+      p.min_degree = box.dl;
+      p.loss = loss;
+      const auto mf =
+          make_theory_prediction(p, 0.01, PredictionSource::kMeanField);
+      const auto exact =
+          make_theory_prediction(p, 0.01, PredictionSource::kExactMc);
+      EXPECT_LE(tvd(mf.out_pmf, exact.out_pmf), kTvdContract);
+      EXPECT_LE(tvd(mf.in_pmf, exact.in_pmf), kTvdContract);
+      if (!solve_mean_field(mean_field_params(p)).converged) ++unconverged;
+    }
+  }
+  EXPECT_GT(unconverged, 0u);
+  EXPECT_EQ(prediction_cache_stats().exact_fallbacks, unconverged);
+  clear_prediction_cache();
+  EXPECT_EQ(prediction_cache_stats().exact_fallbacks, 0u);
 }
 
 TEST(MeanField, SweepMatchesPerPointCalls) {

@@ -195,8 +195,13 @@ TEST(SolverTelemetry, DegreeMcSinkMatchesResultDiagnostics) {
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(sink.iteration_count("degree_mc_outer"),
             result.fixed_point_iterations);
+  // One direct stationary solve, and one inner entry, per outer
+  // iteration.
   EXPECT_EQ(sink.iteration_count("degree_mc_inner"),
             result.stationary_iterations);
+  EXPECT_EQ(sink.iteration_count("degree_mc_inner"),
+            result.fixed_point_iterations);
+  EXPECT_LE(sink.last_residual("degree_mc_inner"), 1e-12);
   // Outer residuals must be recorded and end below the solver's tolerance
   // scale.
   ASSERT_GT(sink.iteration_count("degree_mc_outer"), 0u);

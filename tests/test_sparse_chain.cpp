@@ -117,83 +117,6 @@ TEST(SparseChainTest, WarmStartValidation) {
   EXPECT_NEAR(r.distribution[0], 0.5, 1e-9);
 }
 
-TEST(SparseChainTest, StructureValueSplitRewritesInPlace) {
-  // add_edge/finalize_structure/set_prob/commit_values: the sparsity
-  // pattern is compiled once, values are rewritten per "outer iteration".
-  SparseChain chain(3);
-  const std::size_t s01 = chain.add_edge(0, 1);
-  const std::size_t s12 = chain.add_edge(1, 2);
-  const std::size_t s20 = chain.add_edge(2, 0);
-  const std::size_t self = chain.add_edge(1, 1);
-  EXPECT_EQ(self, SparseChain::kNoSlot);
-  chain.finalize_structure();
-
-  chain.set_prob(s01, 0.3);
-  chain.set_prob(s12, 0.5);
-  chain.set_prob(s20, 0.2);
-  chain.set_prob(self, 7.0);  // kNoSlot: ignored
-  chain.commit_values();
-  EXPECT_DOUBLE_EQ(chain.row_sum(0), 0.3);
-  const auto out1 = chain.step({1.0, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(out1[0], 0.7);
-  EXPECT_DOUBLE_EQ(out1[1], 0.3);
-
-  // Second value pass over the same structure.
-  chain.set_prob(s01, 0.9);
-  chain.set_prob(s12, 0.1);
-  chain.set_prob(s20, 0.4);
-  chain.commit_values();
-  const auto out2 = chain.step({1.0, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(out2[0], 0.1);
-  EXPECT_DOUBLE_EQ(out2[1], 0.9);
-}
-
-TEST(SparseChainTest, StructureValueSplitMatchesDirectBuild) {
-  // A chain assembled via the split must be indistinguishable from one
-  // built directly with add()+finalize().
-  Rng rng(33);
-  SparseChain direct(50);
-  SparseChain split(50);
-  std::vector<std::size_t> slots;
-  std::vector<double> probs;
-  for (std::size_t i = 0; i < 50; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      const std::size_t to = rng.uniform(50);
-      const double p = 0.2 * rng.uniform_double();
-      direct.add(i, to, p);
-      slots.push_back(split.add_edge(i, to));
-      probs.push_back(to == i ? 0.0 : p);
-    }
-  }
-  direct.finalize();
-  split.finalize_structure();
-  for (std::size_t k = 0; k < slots.size(); ++k) {
-    split.set_prob(slots[k], probs[k]);
-  }
-  split.commit_values();
-
-  std::vector<double> pi(50);
-  double total = 0.0;
-  for (double& x : pi) total += (x = rng.uniform_double());
-  for (double& x : pi) x /= total;
-  const auto a = direct.step(pi);
-  const auto b = split.step(pi);
-  for (std::size_t i = 0; i < 50; ++i) {
-    EXPECT_NEAR(a[i], b[i], 1e-15) << "i=" << i;
-  }
-}
-
-TEST(SparseChainTest, CommitValuesValidatesRows) {
-  SparseChain chain(2);
-  const std::size_t slot = chain.add_edge(0, 1);
-  chain.finalize_structure();
-  chain.set_prob(slot, 1.5);
-  EXPECT_THROW(chain.commit_values(), std::runtime_error);
-  chain.set_prob(slot, 0.5);
-  chain.commit_values();
-  EXPECT_DOUBLE_EQ(chain.row_sum(0), 0.5);
-}
-
 // Property test: sparse step == dense matvec on random chains. The dense
 // reference applies pi' = pi P with the implied self-loop mass on the
 // diagonal, accumulated in plain row order.

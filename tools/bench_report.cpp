@@ -25,10 +25,10 @@
 // not parallel hardware, and must not be read as core-scaling numbers.
 //
 // Analysis mode benchmarks the §6/§7 solver stack: the §6.2 degree-MC
-// ℓ-sweep solved twice — once with the seed-faithful baseline
-// configuration (damped outer fixed point, classic inner power iteration,
-// cold start per point) and once with the accelerated pipeline (Anderson
-// outer + Anderson inner + warm-started sweep) — plus the exhaustive §7
+// ℓ-sweep solved twice — once with the paper-faithful baseline
+// configuration (damped outer fixed point, cold start per point) and once
+// with the accelerated pipeline (Anderson outer + warm-started sweep), both
+// over the same direct stationary inner solve — plus the exhaustive §7
 // global MC build, the §7.5 mixing measurement, and the spectral-gap
 // power iteration. Solutions of the two degree-MC configurations are
 // cross-checked in-process (max mean-indegree difference is part of the
@@ -498,14 +498,13 @@ DegreePoint degree_point(double loss, double seconds,
                      std::sqrt(var)};
 }
 
-// The seed-faithful baseline: damped outer fixed point, classic inner
-// power iteration, every loss point solved cold.
+// The paper-faithful baseline: damped outer fixed point, every loss point
+// solved cold (the inner step is the same direct stationary solve).
 DegreeRun run_degree_baseline(analysis::DegreeMcParams params,
                               const std::vector<double>& losses) {
   params.acceleration = analysis::DegreeMcAcceleration::kDamped;
-  params.accelerated_stationary = false;
   DegreeRun run;
-  run.solver = "damped_outer+power_inner+cold_start";
+  run.solver = "damped_outer+direct_inner+cold_start";
   for (const double loss : losses) {
     params.loss = loss;
     const auto start = Clock::now();
@@ -518,12 +517,12 @@ DegreeRun run_degree_baseline(analysis::DegreeMcParams params,
   return run;
 }
 
-// The accelerated pipeline: Anderson outer + Anderson inner, one solver,
-// warm-started across the sweep.
+// The accelerated pipeline: Anderson outer loop, one solver, warm-started
+// across the sweep.
 DegreeRun run_degree_accelerated(const analysis::DegreeMcParams& params,
                                  const std::vector<double>& losses) {
   DegreeRun run;
-  run.solver = "anderson_outer+anderson_inner+warm_sweep";
+  run.solver = "anderson_outer+direct_inner+warm_sweep";
   const auto start = Clock::now();
   const auto results = analysis::solve_degree_mc_sweep(params, losses);
   run.seconds = std::chrono::duration<double>(Clock::now() - start).count();
@@ -542,7 +541,7 @@ bool emit_analysis_json(bool quick, const std::string& path) {
       quick ? std::vector<double>{0.0, 0.05}
             : std::vector<double>{0.0, 0.01, 0.05, 0.1};
 
-  std::printf("degree MC baseline (damped, power, cold)...\n");
+  std::printf("degree MC baseline (damped, cold)...\n");
   const DegreeRun before = run_degree_baseline(dp, losses);
   std::printf("  %.3f s, outer %zu, inner %zu\n", before.seconds,
               before.total_outer(), before.total_inner());
@@ -1035,8 +1034,8 @@ bool emit_telemetry_json(bool quick, const std::string& path) {
       ex_var.outdegree.p50, ex_var.outdegree.p90, ex_var.outdegree.p99);
   out << buf;
 
-  // Full residual trajectory for the (small) outer loop; the inner power
-  // iterations are summarized as counts to keep the file bounded.
+  // Full residual trajectory for the (small) outer loop; the inner solves
+  // are summarized as counts to keep the file bounded.
   auto json_finite = [](double v) { return std::isfinite(v) ? v : 0.0; };
   std::snprintf(
       buf, sizeof(buf),
