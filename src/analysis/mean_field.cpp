@@ -123,7 +123,9 @@ class MeanFieldSolver {
     warm_x_ = x;
 
     if (p_.refinement_iterations > 0) {
-      result.converged = refine(x, loss, result) && closure_converged;
+      // The refinement solves the exact pair chain; the closure is only its
+      // warm start, so the refinement alone decides convergence.
+      result.converged = refine(x, loss, result);
     } else {
       result.converged = closure_converged;
       finalize_closure(closure_stats(x), x, loss, result);

@@ -100,7 +100,8 @@ struct MeanFieldResult {
   double receiver_room_probability = 1.0;
 
   // Diagnostics: fixed-point iterations and final L1 residuals of the two
-  // stages. `converged` requires both enabled stages to have converged.
+  // stages. `converged` is the refinement's verdict when it runs (the
+  // closure is then only its warm start), else the closure's.
   std::size_t closure_iterations = 0;
   double closure_residual = 0.0;
   std::size_t refinement_iterations = 0;

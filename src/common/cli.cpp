@@ -34,7 +34,9 @@ void ArgParser::parse(std::vector<std::string> tokens) {
       options_[body] = tokens[i + 1];
       ++i;
     } else {
-      options_[body] = kNoValue;
+      // Move-assign a temporary: assigning the const char* directly makes
+      // GCC 12 at -O3 report a false -Wrestrict inside std::string.
+      options_[body] = std::string(kNoValue);
     }
   }
 }

@@ -11,7 +11,6 @@
 #include "common/binomial.hpp"
 #include "common/cli.hpp"
 #include "common/csv.hpp"
-#include "common/discrete_distribution.hpp"
 #include "common/histogram.hpp"
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
@@ -28,7 +27,6 @@
 #include "graph/transformations.hpp"
 
 // Markov chain machinery.
-#include "markov/dtmc.hpp"
 #include "markov/matrix.hpp"
 #include "markov/sparse_chain.hpp"
 #include "markov/stationary.hpp"
@@ -52,9 +50,9 @@
 #include "sim/event_queue.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "sim/observer_pipeline.hpp"
 #include "sim/round_driver.hpp"
 #include "sim/session_churn.hpp"
-#include "sim/trace.hpp"
 
 // The paper's analysis.
 #include "analysis/decay.hpp"

@@ -147,18 +147,12 @@ void ArenaDriver::run_phase_b(std::uint64_t round) {
 }
 
 void ArenaDriver::observe_round(std::uint64_t round) {
-  const obs::FlatClusterProbe probe = probe_cluster(cluster_);
-  if (series_ != nullptr) {
-    const obs::CumulativeCounters counters = cumulative_counters(
-        cluster_.aggregate_metrics(), network_metrics());
-    series_->record(round, probe.outdegree, probe.indegree, probe.live_nodes,
-                    probe.empty_slot_fraction, counters);
-  }
-  if (recovery_ != nullptr) {
-    // The polymorphic cluster has no flat view graph: the connectivity
-    // lane stays in band, as under RoundDriver.
-    recovery_->observe(round, probe, /*cluster=*/nullptr,
-                       /*watchdog=*/nullptr, /*monitor=*/nullptr);
+  if (pipeline_.active()) {
+    // Replies are in flight at every sample point.
+    pipeline_.observe(round, cluster_,
+                      cumulative_counters(cluster_.aggregate_metrics(),
+                                          network_metrics()),
+                      /*conservation_exact=*/false);
   }
   if (detection_ != nullptr) {
     detection_->observe(
@@ -171,8 +165,7 @@ void ArenaDriver::observe_round(std::uint64_t round) {
 }
 
 void ArenaDriver::run_rounds(std::uint64_t rounds) {
-  const bool observing =
-      series_ != nullptr || recovery_ != nullptr || detection_ != nullptr;
+  const bool observing = pipeline_.active() || detection_ != nullptr;
   for (std::uint64_t r = 0; r < rounds; ++r) {
     const std::uint64_t round = ++round_;
     actions_ += cluster_.live_count();

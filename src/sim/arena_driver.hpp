@@ -20,8 +20,8 @@
 //     during round r-1's phase B, then round r's phase A traffic. Handlers
 //     run with the receiver shard's RNG; messages they send sample their
 //     fate now but deliver in round r+1's phase B (one-round latency).
-//   phase C (serial)  observation: cluster probe, DetectionTracker,
-//     RecoveryTracker, time series.
+//   phase C (serial)  observation: the ObserverPipeline (census, time
+//     series, RecoveryTracker), then the DetectionTracker.
 //
 // Determinism contract: node-to-shard blocking is ceil(n / shards) by id
 // (the ShardedDriver's mapping), every draw comes from
@@ -41,11 +41,10 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/detection.hpp"
-#include "obs/recovery.hpp"
-#include "obs/timeseries.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/network.hpp"
+#include "sim/observer_pipeline.hpp"
 
 namespace gossip::sim {
 
@@ -84,8 +83,13 @@ class ArenaDriver {
   void attach_detection(obs::DetectionTracker* tracker) {
     detection_ = tracker;
   }
-  void attach_recovery(obs::RecoveryTracker* tracker) { recovery_ = tracker; }
-  void attach_series(obs::RoundTimeSeries* series) { series_ = series; }
+  void attach_recovery(obs::RecoveryTracker* tracker) {
+    pipeline_.attach_recovery(tracker);
+  }
+  // Sampling follows config.observation_stride, not the series' stride.
+  void attach_series(obs::RoundTimeSeries* series) {
+    pipeline_.attach_series(series);
+  }
 
   // Order-insensitive digest of the full world state: liveness, every
   // view's slot contents, every protocol's state_digest(), and the network
@@ -137,9 +141,8 @@ class ArenaDriver {
   std::uint64_t round_ = 0;
   std::uint64_t actions_ = 0;
 
+  ObserverPipeline pipeline_;
   obs::DetectionTracker* detection_ = nullptr;
-  obs::RecoveryTracker* recovery_ = nullptr;
-  obs::RoundTimeSeries* series_ = nullptr;
 };
 
 }  // namespace gossip::sim

@@ -1,7 +1,5 @@
 #include "sim/event_driver.hpp"
 
-#include <algorithm>
-
 #include "sim/cluster_probe.hpp"
 
 namespace gossip::sim {
@@ -29,21 +27,6 @@ void EventDriver::schedule_tick(NodeId id) {
   });
 }
 
-void EventDriver::attach_time_series(obs::RoundTimeSeries* series) {
-  series_ = series;
-  if (series != nullptr) {
-    observe_stride_ = std::max<std::uint64_t>(1, series->stride());
-  }
-}
-
-void EventDriver::attach_watchdog(obs::InvariantWatchdog* watchdog) {
-  watchdog_ = watchdog;
-}
-
-void EventDriver::attach_oracle(obs::TheoryOracle* oracle) {
-  oracle_ = oracle;
-}
-
 void EventDriver::attach_flight_recorder(obs::FlightRecorder* recorder) {
   network_.set_flight_recorder(recorder);
   recording_ = recorder != nullptr;
@@ -54,46 +37,6 @@ void EventDriver::attach_fault_plane(const FaultPlane* plane) {
   faulting_ = plane != nullptr;
 }
 
-void EventDriver::attach_recovery(obs::RecoveryTracker* tracker) {
-  recovery_ = tracker;
-}
-
-void EventDriver::attach_streamer(obs::SnapshotStreamer* streamer) {
-  streamer_ = streamer;
-}
-
-void EventDriver::observe_round(std::uint64_t round) {
-  const obs::FlatClusterProbe probe = probe_cluster(
-      cluster_, oracle_ != nullptr ? &occurrence_scratch_ : nullptr);
-  const obs::CumulativeCounters c =
-      cumulative_counters(cluster_.aggregate_metrics(), network_.metrics());
-  if (series_ != nullptr) {
-    series_->record(round, probe.outdegree, probe.indegree, probe.live_nodes,
-                    probe.empty_slot_fraction, c);
-  }
-  if (watchdog_ != nullptr) {
-    const std::size_t n = cluster_.size();
-    for (NodeId u = 0; u < n; ++u) {
-      if (!cluster_.live(u)) continue;
-      watchdog_->check_degree(round, u, /*shard=*/0,
-                              cluster_.node(u).view().degree());
-    }
-    // No conservation check: messages are in flight at any sample point.
-    watchdog_->check_rates(round, c);
-  }
-  if (oracle_ != nullptr) {
-    oracle_->observe(round, probe, occurrence_scratch_, c);
-  }
-  if (recovery_ != nullptr) {
-    recovery_->observe(round, probe, /*cluster=*/nullptr, watchdog_,
-                       oracle_ != nullptr ? &oracle_->monitor() : nullptr);
-  }
-  if (streamer_ != nullptr) {
-    // Last, so snapshots see this round's observer output via the probes.
-    streamer_->observe(round);
-  }
-}
-
 void EventDriver::run_for(double duration) {
   queue_.run_until(queue_.now() + duration);
 }
@@ -102,9 +45,7 @@ void EventDriver::run_rounds(std::uint64_t rounds) {
   // Recording forces the stepped schedule too, so events carry round
   // stamps rather than all landing on round 0; a fault plane needs it for
   // the same reason — its phase windows read the network's round clock.
-  if (series_ == nullptr && watchdog_ == nullptr && oracle_ == nullptr &&
-      recovery_ == nullptr && streamer_ == nullptr && !recording_ &&
-      !faulting_) {
+  if (!pipeline_.active() && !recording_ && !faulting_) {
     run_for(static_cast<double>(rounds) * config_.period);
     rounds_completed_ += rounds;
     return;
@@ -113,8 +54,13 @@ void EventDriver::run_rounds(std::uint64_t rounds) {
     network_.set_record_round(rounds_completed_ + 1);
     run_for(config_.period);
     ++rounds_completed_;
-    if (rounds_completed_ % observe_stride_ == 0) {
-      observe_round(rounds_completed_);
+    if (pipeline_.due(rounds_completed_)) {
+      // Messages are in flight at any sample point, so conservation is
+      // not checked.
+      pipeline_.observe(rounds_completed_, cluster_,
+                        cumulative_counters(cluster_.aggregate_metrics(),
+                                            network_.metrics()),
+                        /*conservation_exact=*/false);
     }
   }
 }

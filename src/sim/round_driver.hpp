@@ -9,20 +9,13 @@
 
 #include <cstdint>
 
-#include <vector>
-
 #include "common/rng.hpp"
-#include "obs/export/snapshot.hpp"
 #include "obs/oracle/flight_recorder.hpp"
-#include "obs/oracle/theory_oracle.hpp"
-#include "obs/recovery.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/watchdog.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
-#include "sim/retune.hpp"
+#include "sim/observer_pipeline.hpp"
 
 namespace gossip::sim {
 
@@ -55,12 +48,20 @@ class RoundDriver {
 
   // --- observability (attach before run_rounds; borrowed, may be null).
   // Observation reads views and counters only: it draws nothing from the
-  // RNG, so attaching observers does not change the run. ---
-  void attach_time_series(obs::RoundTimeSeries* series);
-  void attach_watchdog(obs::InvariantWatchdog* watchdog);
+  // RNG, so attaching observers does not change the run. The stages run
+  // in ObserverPipeline's order; nothing is in flight at a round boundary
+  // here, so the watchdog checks conservation. ---
+  void attach_time_series(obs::RoundTimeSeries* series) {
+    pipeline_.attach_series(series);
+  }
+  void attach_watchdog(obs::InvariantWatchdog* watchdog) {
+    pipeline_.attach_watchdog(watchdog);
+  }
   // Theory-oracle drift detection at round boundaries (same probe inputs
   // as the ShardedDriver's phase C).
-  void attach_oracle(obs::TheoryOracle* oracle);
+  void attach_oracle(obs::TheoryOracle* oracle) {
+    pipeline_.attach_oracle(oracle);
+  }
   // Transport-level flight recording (send/lose/deliver/to-dead into the
   // recorder's shard 0; see DirectNetwork::set_flight_recorder).
   void attach_flight_recorder(obs::FlightRecorder* recorder);
@@ -70,34 +71,31 @@ class RoundDriver {
   void attach_fault_plane(const FaultPlane* plane);
   // Degradation-window tracking at round boundaries; the connectivity lane
   // is skipped (this driver's polymorphic cluster has no flat view graph).
-  void attach_recovery(obs::RecoveryTracker* tracker);
+  void attach_recovery(obs::RecoveryTracker* tracker) {
+    pipeline_.attach_recovery(tracker);
+  }
   // Online §6.3 retuning at round boundaries (same hook ordering as the
   // ShardedDriver: after the oracle's observe). The actuator supplied to
   // the controller must target this driver's cluster.
-  void attach_retune(RetuneController* retune);
+  void attach_retune(RetuneController* retune) {
+    pipeline_.attach_retune(retune);
+  }
   // Streaming telemetry export. This driver has no registry of its own, so
   // the streamer owns/borrows an external one fed through its gauge and
   // counter probes (wired by the caller); the driver only drives the
   // capture clock, invoking the streamer last at each sampled round
   // boundary so snapshots see every observer's output for the round.
-  void attach_streamer(obs::SnapshotStreamer* streamer);
+  void attach_streamer(obs::SnapshotStreamer* streamer) {
+    pipeline_.attach_streamer(streamer);
+  }
 
  private:
-  void observe_round(std::uint64_t round);
-
   Cluster& cluster_;
   Rng& rng_;
   DirectNetwork network_;
   std::uint64_t actions_ = 0;
   std::uint64_t rounds_completed_ = 0;
-  obs::RoundTimeSeries* series_ = nullptr;
-  obs::InvariantWatchdog* watchdog_ = nullptr;
-  obs::TheoryOracle* oracle_ = nullptr;
-  obs::RecoveryTracker* recovery_ = nullptr;
-  RetuneController* retune_ = nullptr;
-  obs::SnapshotStreamer* streamer_ = nullptr;
-  std::vector<std::uint32_t> occurrence_scratch_;
-  std::uint64_t observe_stride_ = 1;
+  ObserverPipeline pipeline_;
 };
 
 }  // namespace gossip::sim

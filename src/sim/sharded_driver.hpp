@@ -22,11 +22,11 @@
 //     flight are dropped, like loss — the sender cannot tell).
 //   -- barrier --
 //   [phase C (observe), only on sampling rounds when observers are
-//     attached: the first worker probes the quiescent cluster and feeds
-//     the time-series recorder / invariant watchdog while the other
-//     workers wait at a third barrier. Whether a round samples is a pure
-//     function of the global round index and the observation stride, so
-//     every thread takes the same barrier count.]
+//     attached: the first worker runs the ObserverPipeline over the
+//     quiescent cluster while the other workers wait at a third barrier.
+//     Whether a round samples is a pure function of the global round
+//     index and the observation stride, so every thread takes the same
+//     barrier count.]
 //
 // Why this is faithful to the paper's model: S&F actions are nonatomic and
 // the network may lose or delay any message (§4), so deferring cross-shard
@@ -66,18 +66,13 @@
 #include "common/rng.hpp"
 #include "core/flat_send_forget.hpp"
 #include "core/metrics.hpp"
-#include "obs/export/snapshot.hpp"
 #include "obs/oracle/flight_recorder.hpp"
-#include "obs/oracle/theory_oracle.hpp"
 #include "obs/profiler.hpp"
-#include "obs/recovery.hpp"
 #include "obs/registry.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/watchdog.hpp"
 #include "sim/fault_plane.hpp"
-#include "sim/retune.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "sim/observer_pipeline.hpp"
 
 namespace gossip::sim {
 
@@ -180,8 +175,9 @@ class ShardedDriver {
   // division-by-invariant for 32-bit operands), not an integer division.
   [[nodiscard]] std::size_t shard_of(NodeId u) const {
     if (nodes_per_shard_ == 1) return u;
-    return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(shard_magic_) * u) >> 64);
+    __extension__ using u128 = unsigned __int128;
+    return static_cast<std::size_t>((static_cast<u128>(shard_magic_) * u) >>
+                                    64);
   }
   // Effective worker-thread count (config.thread_count, defaulted).
   [[nodiscard]] std::size_t thread_count() const { return threads_; }
@@ -203,8 +199,12 @@ class ShardedDriver {
     return registry_;
   }
   // Also sets the observation stride to the series' stride.
-  void attach_time_series(obs::RoundTimeSeries* series);
-  void attach_watchdog(obs::InvariantWatchdog* watchdog);
+  void attach_time_series(obs::RoundTimeSeries* series) {
+    pipeline_.attach_series(series);
+  }
+  void attach_watchdog(obs::InvariantWatchdog* watchdog) {
+    pipeline_.attach_watchdog(watchdog);
+  }
   void attach_profiler(obs::PhaseProfiler* profiler);
   // Theory-oracle drift detection: the oracle gets the probe, the per-id
   // occurrence census, and the cumulative counters at each phase-C sample.
@@ -229,7 +229,9 @@ class ShardedDriver {
   // runs on worker 0 while every other worker waits at the phase barrier,
   // so its actuator may mutate cluster configuration (set_min_degree)
   // safely. Draws no RNG (pinned in tests/test_retune.cpp).
-  void attach_retune(RetuneController* retune);
+  void attach_retune(RetuneController* retune) {
+    pipeline_.attach_retune(retune);
+  }
   // Streaming telemetry export: the streamer must borrow this driver's
   // metrics_registry(). It captures on the phase-C barrier, after every
   // other observer has updated the registry, so snapshots see the round's
@@ -240,7 +242,9 @@ class ShardedDriver {
   void attach_streamer(obs::SnapshotStreamer* streamer);
   // Sampling cadence for the observe phase (rounds whose global index is a
   // multiple of `stride` sample). Independent of any RNG stream.
-  void set_observation_stride(std::uint64_t stride);
+  void set_observation_stride(std::uint64_t stride) {
+    pipeline_.set_stride(stride);
+  }
 
  private:
   // Registry counter layout; indices into each shard's counter slab.
@@ -302,16 +306,12 @@ class ShardedDriver {
   template <bool kCount, bool kRecord>
   std::uint64_t run_rounds_impl(std::uint64_t rounds, bool quiesce);
   std::uint64_t run_rounds_dispatch(std::uint64_t rounds, bool quiesce);
-  [[nodiscard]] bool observing() const {
-    return series_ != nullptr || watchdog_ != nullptr || oracle_ != nullptr ||
-           recovery_ != nullptr || retune_ != nullptr || streamer_ != nullptr;
-  }
-  [[nodiscard]] bool observation_due(std::uint64_t round) const {
-    return round % observe_stride_ == 0;
-  }
   // Runs on the first worker's thread while every other worker waits at
   // the phase-C barrier (single-threaded: simply between rounds).
   void observe_round(std::uint64_t round);
+  // Gauge and histogram registration reallocates the registry slabs; every
+  // shard's cached counter pointer must then be refreshed.
+  void recache_counter_slabs();
   [[nodiscard]] bool all_quiet() const {
     for (const Shard& sh : shards_) {
       if (sh.quiet == 0) return false;
@@ -347,14 +347,9 @@ class ShardedDriver {
   Rng churn_rng_;
   std::uint64_t rounds_completed_ = 0;
 
-  obs::RoundTimeSeries* series_ = nullptr;
-  obs::InvariantWatchdog* watchdog_ = nullptr;
+  ObserverPipeline pipeline_;
   obs::PhaseProfiler* profiler_ = nullptr;
-  obs::TheoryOracle* oracle_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
-  obs::RecoveryTracker* recovery_ = nullptr;
-  RetuneController* retune_ = nullptr;
-  obs::SnapshotStreamer* streamer_ = nullptr;
   const FaultPlane* fault_plane_ = nullptr;
   // Ring-wrap visibility: set per shard from recorder_->dropped(s) at each
   // probe (gauges merge by sum), so silent ring truncation shows up in
@@ -364,10 +359,6 @@ class ShardedDriver {
   // registry's histogram path finally has a producer).
   obs::HistogramId outdegree_hist_{};
   obs::HistogramId indegree_hist_{};
-  // Scratch for the per-id occurrence census the oracle consumes; only
-  // touched in observe_round.
-  std::vector<std::uint32_t> occurrence_scratch_;
-  std::uint64_t observe_stride_ = 1;
   obs::PhaseId ph_initiate_{};
   obs::PhaseId ph_drain_{};
   obs::PhaseId ph_barrier_{};

@@ -21,8 +21,6 @@
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "sim/sharded_driver.hpp"
-#include "sim/trace.hpp"
-#include "test_support.hpp"
 
 namespace gossip::obs {
 namespace {
@@ -345,32 +343,29 @@ TEST(PrometheusSink, RendersExposition) {
 }
 
 // ---------------------------------------------------------------------------
-// Streamer probes: externally-fed metrics (trace drops, serial-driver
+// Streamer probes: externally-fed metrics (recorder drops, serial-driver
 // counters) appear in snapshots like native registry metrics.
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotStreamer, GaugeProbeSurfacesTracingTransportDrops) {
-  gossip::testing::CaptureTransport sink;
-  sim::TracingTransport trace(sink, /*capacity=*/2);
+TEST(SnapshotStreamer, GaugeProbeSurfacesFlightRecorderDrops) {
+  // The serial drivers wire the recorder's ring-wrap count exactly like
+  // this (sfgossip's recorder_wrapped probe).
+  FlightRecorder recorder(/*shard_count=*/1, /*capacity=*/8);
   MetricsRegistry registry(1);
   SnapshotStreamer streamer(registry);
-  streamer.add_gauge_probe("trace_dropped",
-                           [&trace]() {
-                             return static_cast<double>(trace.drop_count());
-                           });
+  streamer.add_gauge_probe("recorder_wrapped", [&recorder]() {
+    return static_cast<double>(recorder.dropped(0));
+  });
 
-  for (NodeId k = 0; k < 5; ++k) {
-    Message m;
-    m.from = k;
-    m.to = k + 1;
-    m.kind = MessageKind::kPush;
-    trace.send(std::move(m));
+  for (NodeId k = 0; k < 11; ++k) {
+    recorder.record(0, {recorder.begin_message(0), 1, k, k + 1,
+                        FlightEventKind::kDeliver});
   }
   streamer.capture(1);
   const RegistrySnapshot& snap = streamer.last();
   bool found = false;
   for (const SnapshotGauge& gauge : snap.gauges) {
-    if (gauge.name == "trace_dropped") {
+    if (gauge.name == "recorder_wrapped") {
       found = true;
       EXPECT_EQ(gauge.value, 3.0);
     }

@@ -105,6 +105,31 @@ TEST(MeanField, ConvergesAtTheNearlyDecomposablePoint) {
   EXPECT_LE(tvd(mf.in_pmf, exact.in_pmf), kTvdContract);
 }
 
+TEST(MeanField, RefinementDecidesConvergenceWhenTheClosureStalls) {
+  // s = 40, dL = 18, ℓ = 0.8: the product closure stops at its iteration
+  // cap far from a fixed point, but the refinement it warm-starts solves
+  // the exact pair chain and converges. The point is converged, and the
+  // served prediction is the fast path's, inside the contract.
+  DegreeMcParams p;
+  p.view_size = 40;
+  p.min_degree = 18;
+  p.loss = 0.8;
+  const MeanFieldParams mp = mean_field_params(p);
+  const auto mf = solve_mean_field(mp);
+  EXPECT_GE(mf.closure_residual, mp.tolerance);
+  EXPECT_LT(mf.refinement_residual, mp.refinement_tolerance);
+  EXPECT_TRUE(mf.converged);
+  clear_prediction_cache();
+  const auto fast =
+      make_theory_prediction(p, 0.01, PredictionSource::kMeanField);
+  EXPECT_EQ(prediction_cache_stats().exact_fallbacks, 0u);
+  const auto exact =
+      make_theory_prediction(p, 0.01, PredictionSource::kExactMc);
+  EXPECT_LE(tvd(fast.out_pmf, exact.out_pmf), kTvdContract);
+  EXPECT_LE(tvd(fast.in_pmf, exact.in_pmf), kTvdContract);
+  clear_prediction_cache();
+}
+
 TEST(MeanFieldPrediction, EveryPointMeetsTheContract) {
   // Property: a kMeanField prediction is never further than the contract
   // from the exact one, whether the fast path converged or was replaced

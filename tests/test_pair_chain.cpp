@@ -66,9 +66,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FrozenPoint{40, 18, 0.0}, FrozenPoint{42, 18, 0.0},
                       FrozenPoint{12, 4, 0.05}),
     [](const ::testing::TestParamInfo<FrozenPoint>& info) {
-      return "s" + std::to_string(info.param.s) + "_dl" +
-             std::to_string(info.param.dl) + "_loss" +
-             std::to_string(static_cast<int>(info.param.loss * 100));
+      // append(), not "s" + ...: GCC 12 at -O3 reports a false -Wrestrict
+      // on the prepend.
+      return std::string("s")
+          .append(std::to_string(info.param.s))
+          .append("_dl")
+          .append(std::to_string(info.param.dl))
+          .append("_loss")
+          .append(std::to_string(static_cast<int>(info.param.loss * 100)));
     });
 
 TEST(PairChain, LevelMajorLayout) {

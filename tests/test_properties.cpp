@@ -105,9 +105,14 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{40, 34, 0.1}, SweepCase{60, 20, 0.0},
                       SweepCase{90, 0, 0.0}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return "s" + std::to_string(info.param.view_size) + "_dl" +
-             std::to_string(info.param.min_degree) + "_loss" +
-             std::to_string(static_cast<int>(info.param.loss * 100));
+      // append(), not "s" + ...: GCC 12 at -O3 reports a false -Wrestrict
+      // on the prepend.
+      return std::string("s")
+          .append(std::to_string(info.param.view_size))
+          .append("_dl")
+          .append(std::to_string(info.param.min_degree))
+          .append("_loss")
+          .append(std::to_string(static_cast<int>(info.param.loss * 100)));
     });
 
 // -------------------------------------------------- connectivity sweep
@@ -227,9 +232,14 @@ INSTANTIATE_TEST_SUITE_P(
                       McSimCase{40, 18, 0.01}, McSimCase{40, 18, 0.1},
                       McSimCase{64, 24, 0.05}),
     [](const ::testing::TestParamInfo<McSimCase>& info) {
-      return "s" + std::to_string(info.param.view_size) + "_dl" +
-             std::to_string(info.param.min_degree) + "_loss" +
-             std::to_string(static_cast<int>(info.param.loss * 100));
+      // append(), not "s" + ...: GCC 12 at -O3 reports a false -Wrestrict
+      // on the prepend.
+      return std::string("s")
+          .append(std::to_string(info.param.view_size))
+          .append("_dl")
+          .append(std::to_string(info.param.min_degree))
+          .append("_loss")
+          .append(std::to_string(static_cast<int>(info.param.loss * 100)));
     });
 
 
