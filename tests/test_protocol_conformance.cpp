@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "core/baselines/newscast.hpp"
@@ -26,6 +27,13 @@ struct ProtocolUnderTest {
   std::string name;
   sim::Cluster::ProtocolFactory factory;
 };
+
+// gtest's default byte dump of a parameter begins with the address of its
+// heap copy, so the test names ctest discovers changed from one process to
+// the next under ASLR. Print the protocol name instead.
+void PrintTo(const ProtocolUnderTest& put, std::ostream* os) {
+  *os << put.name;
+}
 
 class ProtocolConformance
     : public ::testing::TestWithParam<ProtocolUnderTest> {};
